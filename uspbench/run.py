@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one workload of the USP benchmark, or the smoke run of all of them.
 
-    python3 uspbench/run.py --workload ens3-build --seed 1 --seconds 16 --trace 0
+    python3 uspbench/run.py --workload ens3-build --seed 1 --seconds 30 --trace 0
     python3 uspbench/run.py --smoke
 
 The first call builds the program and the benchmark from source with sbt:
@@ -102,8 +102,13 @@ def java_cmd(cp, args):
     os.makedirs(tmp, exist_ok=True)
     opens = [f"--add-opens={m}=ALL-UNNAMED" for m in JAVA_OPENS]
     # The serial collector keeps latency from moving with parallel GC
-    # threads; the fixed heap keeps it from moving with heap resizing.
-    return [java, "-Xms2g", "-Xmx2g", "-XX:+UseSerialGC", *opens,
+    # threads; the fixed heap keeps it from moving with heap resizing. The
+    # hier256 query loop allocates about 1 MB per query and streams the
+    # young generation through memory at GB/s; a pre-touched heap on
+    # transparent huge pages takes the page faults and most TLB misses out
+    # of that stream.
+    return [java, "-Xms2g", "-Xmx2g", "-XX:+UseSerialGC", "-XX:+UseTransparentHugePages",
+            "-XX:+AlwaysPreTouch", *opens,
             f"-Djava.io.tmpdir={tmp}",
             f"-Dspark.local.dir={os.path.join(TARGET, 'spark-local')}",
             "-cp", cp, "uspbench.Main", *args,
@@ -123,7 +128,7 @@ def main():
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload", choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=16)
+    p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--smoke", action="store_true")
     a = p.parse_args()

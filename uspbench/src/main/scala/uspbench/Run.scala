@@ -35,8 +35,10 @@ final class Result(val correct: Boolean, val result: Json.Raw, val report: Json.
 final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
                 trace: Boolean, setupReps: Int) {
 
-  /** Timed calls per operation: leaves at least ten beyond the p99. */
-  private val MinSamples = 1000
+  /** Timed passes over the queries: each query's quiet latency is the
+    * fastest of at least this many repeats.
+    */
+  private val MinPasses = 8
 
   /** Untimed closed-loop warm-up of the query path, in seconds. */
   private val WarmupS = 2.0
@@ -79,6 +81,9 @@ final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
       phase(f"set-up $rep: ${wall / 1e9}%.3fs")
     }
     t.rep = -1
+    // Measured before the benchmark's own answers and latency buffers
+    // exist, whose size follows the length and speed of the timed phase.
+    val heapMb = Jvm.heapAfterGcMb()
 
     val gtStart = System.nanoTime()
     val gt = t.span("knn.query")(KnnMatrix.queryKnn(spark, data, queries, cfg.k))
@@ -89,12 +94,12 @@ final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
     // The reference pass and an untimed warm-up loop let the JIT settle on
     // the query path (sorts it shares with training are recompiled here).
     val q = new Queries(ready)
-    timed(q, ready, WarmupS, ArrayBuffer.empty, ArrayBuffer.empty)
+    timed(q, ready, WarmupS, 1, ArrayBuffer.empty, ArrayBuffer.empty)
     phase("query warm-up done")
     val mainBuf = ArrayBuffer.empty[Long]
     val scannBuf = ArrayBuffer.empty[Long]
     val gc0 = Jvm.gcMs()
-    timed(q, ready, seconds, mainBuf, scannBuf)
+    timed(q, ready, seconds, MinPasses, mainBuf, scannBuf)
     val gcMs = Jvm.gcMs() - gc0
     val mainLat = mainBuf.toArray
     val scannLat = scannBuf.toArray
@@ -106,18 +111,15 @@ final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
     val at85 = Sweep.candidateSizeAtAccuracy(sweep, 0.85)
     gate.check(at85.isDefined, s"the sweep over m' = ${cfg.sweepProbes.mkString(",")} never reaches 85% accuracy")
     val selfHit = selfHitM1(ready)
-    val heapMb = Jvm.heapAfterGcMb()
     phase("quality done")
 
     e2e("setup_s") = (median(warmS.toSeq), "s")
-    // Latency is bimodal on a shared machine (JIT and neighbour states flip
-    // during a run), so the median jumps between the modes from run to run.
-    // The mean moves in proportion to the time spent in each and is the
-    // central figure; the median is a per-layer figure.
-    e2e("query_mean_us") = (mainLat.sum.toDouble / mainLat.length / 1e3, "us")
-    e2e("query_p99_us") = (pct(mainLat, 0.99) / 1e3, "us")
-    e2e("scann_mean_us") = (scannLat.sum.toDouble / scannLat.length / 1e3, "us")
-    e2e("scann_p99_us") = (pct(scannLat, 0.99) / 1e3, "us")
+    val quietMain = quietLatency(mainLat)
+    val quietScann = quietLatency(scannLat)
+    e2e("query_p50_us") = (pct(quietMain, 0.50) / 1e3, "us")
+    e2e("query_p99_us") = (pct(quietMain, 0.99) / 1e3, "us")
+    e2e("scann_p50_us") = (pct(quietScann, 0.50) / 1e3, "us")
+    e2e("scann_p99_us") = (pct(quietScann, 0.99) / 1e3, "us")
     e2e("recall_at_10") = (recall(q.mainRef, gt), "ratio")
     e2e("scann_recall_at_10") = (recall(q.scannRef, gt), "ratio")
     e2e("cand_mean") = (q.cand.map(_.length.toDouble).sum / nq, "points")
@@ -217,11 +219,12 @@ final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
   /** Closed loop, one client: each query runs the main operation and then
     * the ScaNN operation, each issued when the previous call returns. The
     * loop runs whole passes over the queries, so every run times the same
-    * query mix: for `budgetS` seconds, and at least `MinSamples` calls.
+    * query mix and sample `p * nq + qi` is query `qi` in pass `p`: for
+    * `budgetS` seconds, and at least `minPasses` passes.
     * Each answer is checked against the query's reference answer outside
     * the timed span.
     */
-  private def timed(q: Queries, r: Ready, budgetS: Double,
+  private def timed(q: Queries, r: Ready, budgetS: Double, minPasses: Int,
                     mainLat: ArrayBuffer[Long], scannLat: ArrayBuffer[Long]): Unit = {
     val main = mainOp(r)
     val scann = scannOp(r)
@@ -230,7 +233,7 @@ final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
     val hardStop = start + (3 * budgetS * 1e9).toLong
     var qi = 0
     var calls = 0
-    while (qi != 0 || ((System.nanoTime() < deadline || calls < MinSamples) && System.nanoTime() < hardStop)) {
+    while (qi != 0 || ((System.nanoTime() < deadline || calls < minPasses * nq) && System.nanoTime() < hardStop)) {
       calls += 1
       val v = queries(qi)
       val t0 = System.nanoTime()
@@ -366,7 +369,7 @@ final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
     val deadline = System.nanoTime() + (seconds / 2 * 1e9).toLong
     var qi = 0
     var passes = 0
-    while (System.nanoTime() < deadline || passes < math.min(MinSamples, nq)) {
+    while (System.nanoTime() < deadline || passes < nq) {
       val v = queries(qi)
       val j = q.answeredBy(qi)
       val member = r.members(j)
@@ -417,8 +420,11 @@ final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
     layer("sweep.s") = (sweepS, "s")
     layer("query.gc_ms") = (gcMs.toDouble, "ms")
     layer("query.samples") = (untracedMain.length.toDouble, "count")
-    layer("query.p50_us") = (pct(untracedMain, 0.50) / 1e3, "us")
-    layer("scann.p50_us") = (pct(untracedScann, 0.50) / 1e3, "us")
+    layer("query.passes") = (untracedMain.length.toDouble / nq, "count")
+    layer("query.raw_mean_us") = (untracedMain.sum.toDouble / untracedMain.length / 1e3, "us")
+    layer("query.raw_p99_us") = (pct(untracedMain, 0.99) / 1e3, "us")
+    layer("scann.raw_mean_us") = (untracedScann.sum.toDouble / untracedScann.length / 1e3, "us")
+    layer("scann.raw_p99_us") = (pct(untracedScann, 0.99) / 1e3, "us")
     layer("setup.cold_s") = (coldS, "s")
     layer("setup.cpu_ratio") = (median(cpuRatio), "ratio")
     layer("trace.overhead_us") =
@@ -477,5 +483,19 @@ final class Run(cfg: Config, spark: SparkSession, seed: Long, seconds: Double,
     val s = ns.clone()
     Arrays.sort(s)
     s(math.max(0, math.ceil(p * s.length).toInt - 1)).toDouble
+  }
+
+  /** Each query's latency on a quiet machine: the fastest of its repeats
+    * over the timed passes. On a shared host the same calls run up to half
+    * again slower for stretches of seconds while neighbours load the core
+    * and memory system, and how much of a run such stretches cover varies
+    * from run to run. Contention only adds time, so a query's fastest
+    * repeat reads the program's own cost whenever one pass of the run was
+    * quiet; the percentiles over queries then show which queries cost most,
+    * not how busy the neighbours were.
+    */
+  private def quietLatency(lat: Array[Long]): Array[Long] = {
+    val passes = lat.length / nq
+    Array.tabulate(nq)(qi => (0 until passes).map(p => lat(p * nq + qi)).min)
   }
 }

@@ -76,10 +76,10 @@ object Config {
   val all: Seq[Config] = Seq(
     Config("ens3-build", Kind.Ensemble,
       "write path: three trained models dominate set-up; queries run three inferences per call",
-      n = 3000, nQueries = 500, mProbe = 2, sweepProbes = 1 to 16, ensembleSize = 3),
+      n = 3000, nQueries = 1000, mProbe = 2, sweepProbes = 1 to 16, ensembleSize = 3),
     Config("hier256", Kind.Hierarchy,
       "17 small nets, per-leaf kNN and a 256-way probe ranking; shows the assign/probe defect",
-      n = 3000, nQueries = 500, mProbe = 32, eta = 10.0, leafBins = 16, leafEpochs = 5,
+      n = 3000, nQueries = 1000, mProbe = 32, eta = 10.0, leafBins = 16, leafEpochs = 5,
       sweepProbes = Seq(1, 2, 4, 8, 16, 32, 64, 256)),
   )
 
