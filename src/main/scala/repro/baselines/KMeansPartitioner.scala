@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 import java.util.Random
-import repro.core.{KnnMatrix, SpacePartitioner}
+import repro.core.{KnnMatrix, SpacePartitioner, TopK}
 
 /** Lloyd's K-means — the ubiquitous partitioning baseline (IVF / quantizer
   * cells). Multiprobe ranks bins by ascending centroid distance, the
@@ -23,9 +23,12 @@ final class KMeansPartitioner(val centroids: Array[Array[Double]]) extends Space
     best
   }
 
-  override def probeOrder(q: Array[Double]): Array[Int] =
-    Array.tabulate(numBins)(identity)
-      .sortBy(c => KnnMatrix.sqDist(centroids(c), q))
+  override def probeOrder(q: Array[Double]): Array[Int] = {
+    val top = new TopK(numBins)
+    var c = 0
+    while (c < numBins) { top.offer(KnnMatrix.sqDist(centroids(c), q), c); c += 1 }
+    top.result()
+  }
 }
 
 object KMeansPartitioner {

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{SpacePartitioner, UspConfig, ModelPartitioner}
+import repro.core.{SpacePartitioner, UspConfig, ModelPartitioner, TopK}
 import repro.linalg.Mat
 import repro.nn.{Adam, Net}
 import java.util.Random
@@ -150,7 +150,9 @@ final class CrossPolytopeLsh(d: Int, val numBins: Int, seed: Long) extends Space
   override def probeOrder(q: Array[Double]): Array[Int] = {
     val y = project(q)
     // score of vertex (i,+) is y_i, of (i,−) is −y_i
-    Array.tabulate(numBins)(identity)
-      .sortBy { b => val i = b / 2; -(if (b % 2 == 0) y(i) else -y(i)) }
+    val top = new TopK(numBins)
+    var b = 0
+    while (b < numBins) { val i = b / 2; top.offer(-(if (b % 2 == 0) y(i) else -y(i)), b); b += 1 }
+    top.result()
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{CandidateIndex, Hierarchical, PartitionIndex, SpacePartitioner, UspConfig, UspTrainer}
+import repro.core.{CandidateIndex, Hierarchical, PartitionIndex, SpacePartitioner, TopK, UspConfig, UspTrainer}
 import repro.nn.{Linear, Net}
 import java.util.Random
 
@@ -45,7 +45,7 @@ final class BspTree(val root: BspNode, val numBins: Int) extends SpacePartitione
         walk(l, logp + math.log(1 - pr + 1e-12))
     }
     walk(root, 0.0)
-    Array.tabulate(numBins)(identity).sortBy(b => -scores(b))
+    TopK.largest(scores, numBins)
   }
 }
 

@@ -10,9 +10,9 @@ package repro.core
   * implicit (only relative weights matter to the argmin; renormalising keeps
   * Adam's step size meaningful).
   *
-  * At query time each model reports its top softmax probability as a
-  * confidence; the candidate set of the most confident model is used
-  * (Algorithm 4).
+  * At query time each model reports a confidence from its softmax output;
+  * the candidate set of the most confident model is used (Algorithm 4,
+  * see [[EnsembleIndex]]).
   */
 object Ensemble {
 
@@ -69,41 +69,52 @@ object Ensemble {
 /** Query-time view of a trained ensemble (Algorithm 4): probe the bins of
   * the single most-confident member.
   *
-  * Confidences are calibrated per model: each member's top softmax
-  * probability is divided by that member's mean top probability over (a
-  * sample of) the dataset. Raw softmax maxima are not comparable between
-  * independently trained networks (a member trained on extreme boosting
-  * weights can be systematically overconfident); calibration restores the
-  * "which model actually knows this region" semantics Algorithm 4 intends.
+  * A member's confidence at probe depth m' is the probability mass it puts
+  * on the m' bins it would probe (Algorithm 4's top probability at m' = 1,
+  * strictly more informative deeper into the sweep), summed smallest first.
+  * Confidences are calibrated per model: divided by that member's mean
+  * confidence at the same depth over (a sample of) the dataset. Raw softmax
+  * values are not comparable between independently trained networks (a
+  * member trained on extreme boosting weights can be systematically
+  * overconfident); calibration restores the "which model actually knows this
+  * region" semantics Algorithm 4 intends.
+  *
+  * A query runs one inference per member; the winner's probe order comes
+  * from the same probability row.
   */
 final class EnsembleIndex(trained: Ensemble.Trained,
-                          calibrationData: Array[Array[Double]] = null,
-                          confidence: String = "mass") extends CandidateIndex {
-  private val parts = trained.indexes
+                          calibrationData: Array[Array[Double]] = null) extends CandidateIndex {
+  private val parts = trained.indexes.toIndexedSeq
   private val partitioners = parts.map(_.partitioner.asInstanceOf[ModelPartitioner])
   private val m = parts.head.partitioner.numBins
 
-  /** conf(model, q, m') under the chosen mode: "top1" is Algorithm 4
-    * verbatim (the model's highest probability); "mass" generalises it to
-    * the total probability the model puts on the m' bins it would probe —
-    * the same quantity at m'=1, strictly more informative deeper into the
-    * sweep.
+  /** Mass of the first `depth` bins of `order` (bins by descending `p`),
+    * added smallest first: `p.sorted.takeRight(depth).sum`.
     */
-  private def rawConf(j: Int, q: Array[Double], mProbe: Int): Double = {
-    val p = partitioners(j).probs(q)
-    if (confidence == "top1") p.max
-    else p.sorted.takeRight(math.min(mProbe, m)).sum
+  private def mass(p: Array[Double], order: Array[Int], depth: Int): Double = {
+    var s = 0.0
+    var i = depth - 1
+    while (i >= 0) { s += p(order(i)); i -= 1 }
+    s
   }
 
-  // per-(model, probe-depth) calibration over a data sample
-  private val calib: Array[Array[Double]] =
+  /** calibration(j)(p): member j's mean confidence at depth p over the first
+    * 500 calibration points (all 1.0 without calibration data; index 0 unused).
+    */
+  val calibration: Array[Array[Double]] =
     if (calibrationData == null) Array.fill(parts.length)(Array.fill(m + 1)(1.0))
     else {
       val sample = calibrationData.take(500)
       Array.tabulate(parts.length) { j =>
         val c = new Array[Double](m + 1)
-        for (p <- 1 to m)
-          c(p) = sample.map(v => rawConf(j, v, p)).sum / sample.length
+        sample.foreach { v =>
+          val p = partitioners(j).probs(v)
+          val order = TopK.largest(p, m)
+          var depth = 1
+          while (depth <= m) { c(depth) += mass(p, order, depth); depth += 1 }
+        }
+        var depth = 1
+        while (depth <= m) { c(depth) /= sample.length; depth += 1 }
         c(0) = 1.0
         c
       }
@@ -112,15 +123,18 @@ final class EnsembleIndex(trained: Ensemble.Trained,
   override def maxProbe: Int = m
 
   override def candidates(q: Array[Double], mProbe: Int): Array[Int] = {
-    val p = math.min(math.max(mProbe, 1), m)
+    val depth = math.min(math.max(mProbe, 1), m)
+    val orders = new Array[Array[Int]](parts.length)
     var best = 0
     var bestConf = Double.NegativeInfinity
     var j = 0
     while (j < parts.length) {
-      val conf = rawConf(j, q, p) / calib(j)(p)
+      val p = partitioners(j).probs(q)
+      orders(j) = TopK.largest(p, depth)
+      val conf = mass(p, orders(j), depth) / calibration(j)(depth)
       if (conf > bestConf) { bestConf = conf; best = j }
       j += 1
     }
-    parts(best).candidates(q, mProbe)
+    parts(best).gather(orders(best), mProbe)
   }
 }

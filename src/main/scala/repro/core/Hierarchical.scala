@@ -37,7 +37,7 @@ object Hierarchical {
         // Degenerate bin: too few points to subdivide; a fresh (untrained)
         // model still yields a valid (arbitrary) m2-way split of <=m2 points.
         val net = UspTrainer.defaultNet(data(0).length, leafCfgBase.copy(seed = rootCfg.seed + b))
-        val asg = subset.map(v => net.predictProbs(Mat.fromRows(Seq(v))).argmaxRows(0))
+        val asg = subset.map(v => Mat.argmax(net.infer(v)))
         leaves(b) = UspModel(net, asg, Array.empty, leafCfgBase)
       } else {
         val localK = localKnn(subset, rootCfg.kPrime)
@@ -52,26 +52,26 @@ object Hierarchical {
   }
 }
 
-/** The combined m1·m2-way partitioner: bin id = rootBin * m2 + leafBin. */
+/** The combined m1·m2-way partitioner: bin id = rootBin * m2 + leafBin.
+  * Queries only run `Net.infer`, so one instance may serve concurrent callers.
+  */
 final class HierPartitioner(rootNet: Net, leafNets: Array[Net],
                             m1: Int, m2: Int) extends SpacePartitioner {
   override val numBins: Int = m1 * m2
 
   override def assign(v: Array[Double]): Int = {
-    val x = Mat.fromRows(Seq(v))
-    val rb = rootNet.predictProbs(x).argmaxRows(0)
-    val lb = leafNets(rb).predictProbs(x).argmaxRows(0)
+    val rb = Mat.argmax(rootNet.infer(v))
+    val lb = Mat.argmax(leafNets(rb).infer(v))
     rb * m2 + lb
   }
 
   /** Combined probabilities p[j*m2+t] = rootP[j] · leafP_j[t], ranked. */
   def combinedProbs(q: Array[Double]): Array[Double] = {
-    val x = Mat.fromRows(Seq(q))
-    val rp = rootNet.predictProbs(x).row(0)
+    val rp = rootNet.infer(q)
     val out = new Array[Double](numBins)
     var j = 0
     while (j < m1) {
-      val lp = leafNets(j).predictProbs(x).row(0)
+      val lp = leafNets(j).infer(q)
       var t = 0
       while (t < m2) { out(j * m2 + t) = rp(j) * lp(t); t += 1 }
       j += 1
@@ -79,8 +79,5 @@ final class HierPartitioner(rootNet: Net, leafNets: Array[Net],
     out
   }
 
-  override def probeOrder(q: Array[Double]): Array[Int] = {
-    val p = combinedProbs(q)
-    Array.tabulate(numBins)(identity).sortBy(j => -p(j))
-  }
+  override def probeOrder(q: Array[Double]): Array[Int] = TopK.largest(combinedProbs(q), numBins)
 }

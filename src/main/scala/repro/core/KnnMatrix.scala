@@ -22,52 +22,19 @@ object KnnMatrix {
     s
   }
 
-  /** Top-k nearest base indices for one query vector.
+  /** Top-k nearest base indices for one query vector, ascending by
+    * distance, ties to the lower index.
     *
     * @param selfId index in `base` to exclude (use -1 for external queries)
     */
   def topK(base: Array[Array[Double]], q: Array[Double], k: Int, selfId: Int): Array[Int] = {
-    // Bounded max-heap over (dist, idx): root is the worst kept candidate.
-    val hd = new Array[Double](k)
-    val hi = new Array[Int](k)
-    var size = 0
+    val top = new TopK(k)
     var i = 0
     while (i < base.length) {
-      if (i != selfId) {
-        val d = sqDist(base(i), q)
-        if (size < k) {
-          // sift up
-          var c = size
-          hd(c) = d; hi(c) = i; size += 1
-          while (c > 0 && hd((c - 1) / 2) < hd(c)) {
-            val p = (c - 1) / 2
-            val td = hd(p); hd(p) = hd(c); hd(c) = td
-            val ti = hi(p); hi(p) = hi(c); hi(c) = ti
-            c = p
-          }
-        } else if (d < hd(0)) {
-          hd(0) = d; hi(0) = i
-          // sift down
-          var c = 0
-          var done = false
-          while (!done) {
-            val l = 2 * c + 1; val r = l + 1
-            var m = c
-            if (l < k && hd(l) > hd(m)) m = l
-            if (r < k && hd(r) > hd(m)) m = r
-            if (m == c) done = true
-            else {
-              val td = hd(m); hd(m) = hd(c); hd(c) = td
-              val ti = hi(m); hi(m) = hi(c); hi(c) = ti
-              c = m
-            }
-          }
-        }
-      }
+      if (i != selfId) top.offer(sqDist(base(i), q), i)
       i += 1
     }
-    // ascending by distance
-    hi.take(size).zip(hd.take(size)).sortBy(_._2).map(_._1)
+    top.result()
   }
 
   /** All-pairs k'-NN of `base` against itself (self excluded), computed on

@@ -48,21 +48,36 @@ final class PartitionIndex(val partitioner: SpacePartitioner,
 
   override def maxProbe: Int = partitioner.numBins
 
-  override def candidates(q: Array[Double], mProbe: Int): Array[Int] = {
-    val order = partitioner.probeOrder(q)
-    val out = new scala.collection.mutable.ArrayBuilder.ofInt
+  override def candidates(q: Array[Double], mProbe: Int): Array[Int] =
+    gather(partitioner.probeOrder(q), mProbe)
+
+  /** The points of the first `mProbe` bins of a probe order, bin by bin. */
+  private[core] def gather(order: Array[Int], mProbe: Int): Array[Int] = {
+    val bins = math.max(0, math.min(mProbe, order.length))
+    var total = 0
     var i = 0
-    while (i < math.min(mProbe, order.length)) {
-      out ++= lookup(order(i))
+    while (i < bins) { total += lookup(order(i)).length; i += 1 }
+    val out = new Array[Int](total)
+    var off = 0
+    i = 0
+    while (i < bins) {
+      val b = lookup(order(i))
+      System.arraycopy(b, 0, out, off, b.length)
+      off += b.length
       i += 1
     }
-    out.result()
+    out
   }
 
-  /** Exact k-NN within the candidate set (Algorithm 2, step 3). */
+  /** Exact k-NN within the candidate set (Algorithm 2, step 3), ascending by
+    * distance; equal distances keep candidate order.
+    */
   def search(data: Array[Array[Double]], q: Array[Double], k: Int, mProbe: Int): Array[Int] = {
     val cand = candidates(q, mProbe)
-    cand.map(i => (KnnMatrix.sqDist(data(i), q), i)).sortBy(_._1).take(k).map(_._2)
+    val top = new TopK(k)
+    var i = 0
+    while (i < cand.length) { top.offer(KnnMatrix.sqDist(data(cand(i)), q), cand(i)); i += 1 }
+    top.result()
   }
 
   /** The assignment table as a DataFrame `(id BIGINT, bin INT)` — the
@@ -102,18 +117,14 @@ object PartitionIndex {
 }
 
 /** USP model as a [[SpacePartitioner]]: bins ranked by the trained model's
-  * softmax output.
+  * softmax output. Queries only run `Net.infer`, so one instance may serve
+  * concurrent callers.
   */
 final class ModelPartitioner(net: Net, val numBins: Int) extends SpacePartitioner {
-  override def assign(v: Array[Double]): Int =
-    net.predictProbs(Mat.fromRows(Seq(v))).argmaxRows(0)
+  override def assign(v: Array[Double]): Int = Mat.argmax(probs(v))
 
-  override def probeOrder(q: Array[Double]): Array[Int] = {
-    val p = net.predictProbs(Mat.fromRows(Seq(q))).row(0)
-    Array.tabulate(numBins)(identity).sortBy(j => -p(j))
-  }
+  override def probeOrder(q: Array[Double]): Array[Int] = TopK.largest(probs(q), numBins)
 
   /** Full probability row for a query (used by the ensemble's confidence). */
-  def probs(q: Array[Double]): Array[Double] =
-    net.predictProbs(Mat.fromRows(Seq(q))).row(0)
+  def probs(q: Array[Double]): Array[Double] = net.infer(q)
 }

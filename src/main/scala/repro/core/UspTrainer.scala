@@ -88,7 +88,7 @@ object UspTrainer {
             // model (inference mode, no grad); histogram their hard bins, or
             // average their soft rows when softTargets is set.
             val nbIdx = batchIdx.flatMap(knn(_))
-            val nbProbs = net.predictProbs(x.selectRows(nbIdx))
+            val nbProbs = net.infer(x.selectRows(nbIdx))
             val t = repro.linalg.Mat.zeros(batchIdx.length, cfg.m)
             if (cfg.softTargets) {
               var r = 0; var o = 0
@@ -143,7 +143,7 @@ object UspTrainer {
     while (start < x.rows) {
       val end = math.min(x.rows, start + chunk)
       val sub = x.selectRows(Array.range(start, end))
-      val am = net.predictProbs(sub).argmaxRows
+      val am = net.infer(sub).argmaxRows
       System.arraycopy(am, 0, out, start, am.length)
       start = end
     }
@@ -152,7 +152,7 @@ object UspTrainer {
 
   /** Per-point probe probabilities for a batch of queries. */
   def queryProbs(net: Net, queries: Array[Array[Double]]): Mat =
-    net.predictProbs(Mat.fromRows(queries.toIndexedSeq))
+    net.infer(Mat.fromRows(queries.toIndexedSeq))
 
   private def shuffle(a: Array[Int], rng: Random): Unit = {
     var i = a.length - 1

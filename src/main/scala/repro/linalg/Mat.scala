@@ -77,17 +77,19 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
   def fill(v: Double): Unit = java.util.Arrays.fill(a, v)
 
   /** Add a length-`cols` row vector to every row. */
-  def addRowVector(v: Array[Double]): Mat = {
+  def addRowVector(v: Array[Double]): Mat = copy().addRowVectorInPlace(v)
+
+  /** Add a length-`cols` row vector to every row of this matrix; returns it. */
+  def addRowVectorInPlace(v: Array[Double]): Mat = {
     require(v.length == cols)
-    val out = copy()
     var i = 0
     while (i < rows) {
       val off = i * cols
       var j = 0
-      while (j < cols) { out.a(off + j) += v(j); j += 1 }
+      while (j < cols) { a(off + j) += v(j); j += 1 }
       i += 1
     }
-    out
+    this
   }
 
   def map(f: Double => Double): Mat = {
@@ -140,14 +142,7 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
   def argmaxRows: Array[Int] = {
     val out = new Array[Int](rows)
     var i = 0
-    while (i < rows) {
-      val off = i * cols
-      var best = 0; var bv = a(off)
-      var j = 1
-      while (j < cols) { if (a(off + j) > bv) { bv = a(off + j); best = j }; j += 1 }
-      out(i) = best
-      i += 1
-    }
+    while (i < rows) { out(i) = Mat.argmax(a, i * cols, cols); i += 1 }
     out
   }
 
@@ -173,6 +168,17 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
 
 object Mat {
   def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, new Array[Double](rows * cols))
+
+  /** Index of the maximum entry of `v`; ties break to the lowest index. */
+  def argmax(v: Array[Double]): Int = argmax(v, 0, v.length)
+
+  /** [[argmax]] of the slice `v(off until off + len)`, relative to `off`. */
+  def argmax(v: Array[Double], off: Int, len: Int): Int = {
+    var best = 0; var bv = v(off)
+    var j = 1
+    while (j < len) { if (v(off + j) > bv) { bv = v(off + j); best = j }; j += 1 }
+    best
+  }
 
   def apply(rows: Int, cols: Int)(f: (Int, Int) => Double): Mat = {
     val m = zeros(rows, cols)

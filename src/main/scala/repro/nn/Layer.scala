@@ -15,12 +15,17 @@ object Param {
 
 /** One differentiable layer of the mini framework.
   *
-  * `forward` caches whatever `backward` needs; a layer instance is therefore
-  * NOT safe for concurrent batches (the training loop is sequential, matching
-  * the paper's single-GPU setup). `backward` receives dL/d(output) and must
+  * `infer` is the inference-mode output: it only reads the parameters, writes
+  * no layer state and never modifies `x`, so one layer may serve concurrent
+  * callers (e.g. Spark tasks sharing a broadcast model). `forward` caches
+  * whatever the next `backward` needs and `backward` releases it (so a
+  * trained net holds no batch); `forward`/`backward` are therefore NOT safe
+  * for concurrent batches (the training loop is sequential, matching the
+  * paper's single-GPU setup). `backward` receives dL/d(output) and must
   * return dL/d(input) while accumulating dL/d(params) into `params.g`.
   */
 trait Layer extends Serializable {
+  def infer(x: Mat): Mat
   def forward(x: Mat, training: Boolean): Mat
   def backward(dOut: Mat): Mat
   def params: Seq[Param]
@@ -38,13 +43,16 @@ final class Linear(val in: Int, val out: Int, rng: Random) extends Layer {
 
   private var xCache: Mat = _
 
+  override def infer(x: Mat): Mat = (x * w.v).addRowVectorInPlace(b.v.a)
+
   override def forward(x: Mat, training: Boolean): Mat = {
     xCache = x
-    (x * w.v).addRowVector(b.v.a)
+    infer(x)
   }
 
   override def backward(dOut: Mat): Mat = {
     w.g.addInPlace(xCache.t * dOut)
+    xCache = null
     val cs = dOut.colSum
     var j = 0
     while (j < out) { b.g.a(j) += cs(j); j += 1 }
@@ -57,20 +65,23 @@ final class Linear(val in: Int, val out: Int, rng: Random) extends Layer {
 /** Rectified linear unit. */
 final class ReLU extends Layer {
   private var mask: Array[Boolean] = _
-  override def forward(x: Mat, training: Boolean): Mat = {
-    mask = new Array[Boolean](x.a.length)
+  override def infer(x: Mat): Mat = {
     val out = new Array[Double](x.a.length)
     var i = 0
-    while (i < x.a.length) {
-      if (x.a(i) > 0) { out(i) = x.a(i); mask(i) = true }
-      i += 1
-    }
+    while (i < x.a.length) { if (x.a(i) > 0) out(i) = x.a(i); i += 1 }
     new Mat(x.rows, x.cols, out)
+  }
+  override def forward(x: Mat, training: Boolean): Mat = {
+    mask = new Array[Boolean](x.a.length)
+    var i = 0
+    while (i < x.a.length) { mask(i) = x.a(i) > 0; i += 1 }
+    infer(x)
   }
   override def backward(dOut: Mat): Mat = {
     val out = new Array[Double](dOut.a.length)
     var i = 0
     while (i < out.length) { if (mask(i)) out(i) = dOut.a(i); i += 1 }
+    mask = null
     new Mat(dOut.rows, dOut.cols, out)
   }
   override def params: Seq[Param] = Nil
@@ -93,10 +104,31 @@ final class BatchNorm(val dim: Int, mom: Double = 0.9, eps: Double = 1e-5) exten
   private var invStd: Array[Double] = _
   private var nBatch: Int = 0
 
-  override def forward(x: Mat, training: Boolean): Mat = {
+  /** Normalises with the running estimates. */
+  override def infer(x: Mat): Mat = {
     require(x.cols == dim)
     val out = Mat.zeros(x.rows, dim)
-    if (training) {
+    val inv = new Array[Double](dim) // filled by a loop: `map` would box every entry
+    var j = 0
+    while (j < dim) { inv(j) = 1.0 / math.sqrt(runVar(j) + eps); j += 1 }
+    var i = 0
+    while (i < x.rows) {
+      val off = i * dim
+      j = 0
+      while (j < dim) {
+        out.a(off + j) = gamma.v.a(j) * (x.a(off + j) - runMean(j)) * inv(j) + beta.v.a(j)
+        j += 1
+      }
+      i += 1
+    }
+    out
+  }
+
+  override def forward(x: Mat, training: Boolean): Mat =
+    if (!training) infer(x)
+    else {
+      require(x.cols == dim)
+      val out = Mat.zeros(x.rows, dim)
       nBatch = x.rows
       val mean = x.colSum.map(_ / nBatch)
       val varr = new Array[Double](dim)
@@ -128,21 +160,8 @@ final class BatchNorm(val dim: Int, mom: Double = 0.9, eps: Double = 1e-5) exten
         }
         i += 1
       }
-    } else {
-      val inv = runVar.map(v => 1.0 / math.sqrt(v + eps))
-      var i = 0
-      while (i < x.rows) {
-        val off = i * dim
-        var j = 0
-        while (j < dim) {
-          out.a(off + j) = gamma.v.a(j) * (x.a(off + j) - runMean(j)) * inv(j) + beta.v.a(j)
-          j += 1
-        }
-        i += 1
-      }
+      out
     }
-    out
-  }
 
   override def backward(dOut: Mat): Mat = {
     val n = nBatch.toDouble
@@ -174,6 +193,7 @@ final class BatchNorm(val dim: Int, mom: Double = 0.9, eps: Double = 1e-5) exten
       }
       i += 1
     }
+    xHat = null; invStd = null
     dX
   }
 
@@ -184,6 +204,7 @@ final class BatchNorm(val dim: Int, mom: Double = 0.9, eps: Double = 1e-5) exten
 final class Dropout(p: Double, rng: Random) extends Layer {
   require(p >= 0 && p < 1)
   private var mask: Array[Double] = _
+  override def infer(x: Mat): Mat = x
   override def forward(x: Mat, training: Boolean): Mat = {
     if (!training || p == 0) { mask = null; x }
     else {
@@ -204,6 +225,7 @@ final class Dropout(p: Double, rng: Random) extends Layer {
       val out = new Array[Double](dOut.a.length)
       var i = 0
       while (i < out.length) { out(i) = dOut.a(i) * mask(i); i += 1 }
+      mask = null
       new Mat(dOut.rows, dOut.cols, out)
     }
   override def params: Seq[Param] = Nil

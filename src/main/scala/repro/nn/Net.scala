@@ -22,8 +22,20 @@ final class Net(val layers: Seq[Layer]) extends Serializable {
   /** Total learnable scalar count (Table 2). */
   def paramCount: Long = params.map(_.size.toLong).sum
 
-  /** Softmax probabilities for a batch (inference mode). */
-  def predictProbs(x: Mat): Mat = Net.softmaxRows(forward(x, training = false))
+  /** Softmax probabilities for a batch: the single inference path. Every
+    * layer runs its pure `infer`, so no training cache or dropout state is
+    * written and one net may serve concurrent callers. `x` is only read.
+    */
+  def infer(x: Mat): Mat = {
+    val z = layers.foldLeft(x)((h, l) => l.infer(h))
+    Net.softmaxRowsInPlace(if (z eq x) z.copy() else z)
+  }
+
+  /** Probabilities for one vector, through [[infer]]; `v` is only read. */
+  def infer(v: Array[Double]): Array[Double] = infer(new Mat(1, v.length, v)).a
+
+  /** Softmax probabilities for a batch; the same as [[infer]]. */
+  def predictProbs(x: Mat): Mat = infer(x)
 }
 
 object Net {
@@ -57,8 +69,10 @@ object Net {
     new Net(Seq(new Linear(d, m, new Random(seed))))
 
   /** Numerically stable row-wise softmax. */
-  def softmaxRows(z: Mat): Mat = {
-    val out = Mat.zeros(z.rows, z.cols)
+  def softmaxRows(z: Mat): Mat = softmaxRowsInPlace(z.copy())
+
+  /** [[softmaxRows]] written over `z`; returns `z`. */
+  private[nn] def softmaxRowsInPlace(z: Mat): Mat = {
     var i = 0
     while (i < z.rows) {
       val off = i * z.cols
@@ -67,12 +81,12 @@ object Net {
       while (j < z.cols) { if (z.a(off + j) > mx) mx = z.a(off + j); j += 1 }
       var s = 0.0
       j = 0
-      while (j < z.cols) { val e = math.exp(z.a(off + j) - mx); out.a(off + j) = e; s += e; j += 1 }
+      while (j < z.cols) { val e = math.exp(z.a(off + j) - mx); z.a(off + j) = e; s += e; j += 1 }
       j = 0
-      while (j < z.cols) { out.a(off + j) /= s; j += 1 }
+      while (j < z.cols) { z.a(off + j) /= s; j += 1 }
       i += 1
     }
-    out
+    z
   }
 
   /** Given p = softmax(z) and g = dL/dp, return dL/dz (row-wise Jacobian). */

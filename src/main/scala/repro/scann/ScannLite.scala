@@ -1,6 +1,6 @@
 package repro.scann
 
-import repro.core.KnnMatrix
+import repro.core.{KnnMatrix, TopK}
 import repro.baselines.KMeansPartitioner
 import java.util.Random
 
@@ -134,18 +134,27 @@ object ProductQuantizer {
 /** ScaNN-lite search: ADC scan over a candidate id set, then exact rerank of
   * the best `rerank` candidates. With `candidateIds = null` it scans the
   * whole dataset (vanilla ScaNN); pairing it with a partitioner's candidate
-  * set gives the K-means+ScaNN / USP+ScaNN pipelines of §5.4.3.
+  * set gives the K-means+ScaNN / USP+ScaNN pipelines of §5.4.3. Both stages
+  * are bounded top-k selections; equal distances keep scan order.
   */
 final class ScannIndex(data: Array[Array[Double]], pq: ProductQuantizer) {
   val codes: Array[Array[Byte]] = data.map(pq.encode)
 
   def search(q: Array[Double], k: Int, rerank: Int,
              candidateIds: Array[Int] = null): Array[Int] = {
-    val ids = if (candidateIds == null) Array.tabulate(data.length)(identity) else candidateIds
+    val n = if (candidateIds == null) data.length else candidateIds.length
     val table = pq.adcTable(q)
-    val scored = ids.map(i => (pq.approxDist(codes(i), table), i))
-    val top = scored.sortBy(_._1).take(math.max(rerank, k))
-    top.map { case (_, i) => (KnnMatrix.sqDist(data(i), q), i) }
-      .sortBy(_._1).take(k).map(_._2)
+    val adc = new TopK(math.max(rerank, k))
+    var i = 0
+    while (i < n) {
+      val id = if (candidateIds == null) i else candidateIds(i)
+      adc.offer(pq.approxDist(codes(id), table), id)
+      i += 1
+    }
+    val short = adc.result()
+    val exact = new TopK(k)
+    i = 0
+    while (i < short.length) { exact.offer(KnnMatrix.sqDist(data(short(i)), q), short(i)); i += 1 }
+    exact.result()
   }
 }
