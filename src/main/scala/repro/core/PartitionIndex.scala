@@ -93,27 +93,9 @@ final class PartitionIndex(val partitioner: SpacePartitioner,
 }
 
 object PartitionIndex {
-  /** Index a dataset with a partitioner (runs `assign` as a Spark map when a
-    * session is given, else on the driver).
-    */
-  def build(partitioner: SpacePartitioner, data: Array[Array[Double]],
-            spark: SparkSession = null): PartitionIndex = {
-    val assignments =
-      if (spark == null) data.map(partitioner.assign)
-      else {
-        val bc = spark.sparkContext.broadcast(data)
-        val bp = spark.sparkContext.broadcast(partitioner)
-        val res = spark.sparkContext
-          .range(0, data.length, numSlices = spark.sparkContext.defaultParallelism)
-          .map(i => (i.toInt, bp.value.assign(bc.value(i.toInt))))
-          .collect()
-        bc.destroy()
-        val out = new Array[Int](data.length)
-        res.foreach { case (i, b) => out(i) = b }
-        out
-      }
-    new PartitionIndex(partitioner, assignments)
-  }
+  /** Index a dataset with a partitioner: `assign` every point on the driver. */
+  def build(partitioner: SpacePartitioner, data: Array[Array[Double]]): PartitionIndex =
+    new PartitionIndex(partitioner, data.map(partitioner.assign))
 }
 
 /** USP model as a [[SpacePartitioner]]: bins ranked by the trained model's

@@ -72,27 +72,32 @@ object UspLoss {
     val m = probs.cols
     val nw = math.max(1, math.ceil(batch.toDouble / m).toInt)
     val dP = Mat.zeros(batch, m)
+    val top = new TopK(nw)
     var winSum = 0.0
     var j = 0
     while (j < m) {
-      // indices of the nw largest entries of column j
-      val col = Array.tabulate(batch)(i => (probs(i, j), i))
-      val top = col.sortBy(-_._1).take(nw)
-      top.foreach { case (v, i) =>
-        winSum += v
-        dP(i, j) = -1.0 / batch
+      // the nw largest entries of column j, largest first, ties by row
+      var i = 0
+      while (i < batch) { top.offer(-probs(i, j), i); i += 1 }
+      val win = top.result()
+      var t = 0
+      while (t < win.length) {
+        winSum += probs(win(t), j)
+        dP(win(t), j) = -1.0 / batch
+        t += 1
       }
       j += 1
     }
     (-winSum / batch, dP)
   }
 
-  /** Empirical bin distribution of each point's k' neighbors (Equation 9),
-    * from cached hard assignments of the whole dataset.
+  /** Empirical bin distribution of each point's k' neighbors (Equation 9):
+    * row i adds 1/k' at the bin of each neighbor, in neighbor order.
     *
     * @param batchIdx    dataset indices of the batch points
     * @param knn         k'-NN matrix (row i = neighbor indices of point i)
-    * @param assignments current hard bin of every dataset point
+    * @param assignments the model's current argmax bin of every neighbor of
+    *                    the batch (other entries are not read)
     */
   def neighborBinTargets(batchIdx: Array[Int], knn: Array[Array[Int]],
                          assignments: Array[Int], m: Int): Mat = {

@@ -9,7 +9,8 @@ import java.util.Random
   * Defaults follow §5.1.4/§5.2: k'=10 neighbors, dropout 0.1, Adam, and a
   * minibatch of a few percent of the dataset. `hidden=0` selects the
   * logistic-regression architecture (a single linear layer), used for the
-  * tree-comparison experiments (§5.4.2).
+  * tree-comparison experiments (§5.4.2). `kPrime` is the k' the caller
+  * builds the k'-NN matrix with; the trainer takes that matrix as given.
   */
 final case class UspConfig(
     m: Int,
@@ -21,19 +22,6 @@ final case class UspConfig(
     hidden: Int = 128,
     dropout: Double = 0.1,
     seed: Long = 42,
-    /** true = forward each batch's neighbors through the current model to
-      * build the Equation-9 targets (the paper's exact formulation);
-      * false = amortise with full-dataset assignments refreshed per epoch.
-      */
-    exactTargets: Boolean = true,
-    /** true = targets are the MEAN of the neighbors' soft probability rows
-      * instead of the histogram of their argmax bins. Early in training this
-      * behaves like label diffusion over the k'-NN graph (probability mass
-      * equilibrates within connected regions before boundaries harden),
-      * which escapes the smooth-boundary local minima that hard targets
-      * lock into on manifold-shaped data. Requires exactTargets.
-      */
-    softTargets: Boolean = false,
 )
 
 /** Result of a training run: the model, final hard assignments of the
@@ -46,10 +34,11 @@ final case class UspModel(net: Net, assignments: Array[Int], lossTrace: Array[Do
   *
   * Training runs on the driver over the collected vector array, mirroring
   * the paper's single-GPU loop; the k'-NN matrix comes in precomputed (a
-  * Spark job, see [[KnnMatrix]]). Neighbor-bin targets are refreshed from
-  * full-dataset hard assignments once per epoch — an amortisation of the
-  * paper's per-batch neighbor forward pass that keeps the same fixed-point
-  * (targets equal the model's own assignments) at a fraction of the flops.
+  * Spark job, see [[KnnMatrix]]). Every step builds the Equation-9 targets
+  * exactly: the batch points' neighbors run through the current model, and
+  * each target row is the histogram of their argmax bins
+  * ([[neighborTargets]]). The dataset's hard assignments are inferred once,
+  * after the last epoch.
   */
 object UspTrainer {
 
@@ -69,8 +58,8 @@ object UspTrainer {
     val x = Mat.fromRows(data.toIndexedSeq)
 
     val idx = Array.tabulate(n)(identity)
+    val bins = new Array[Int](n)
     val trace = new Array[Double](cfg.epochs)
-    var assignments = inferAssignments(net, x)
 
     var epoch = 0
     while (epoch < cfg.epochs) {
@@ -82,40 +71,7 @@ object UspTrainer {
         val end = math.min(n, start + cfg.batchSize)
         val batchIdx = java.util.Arrays.copyOfRange(idx, start, end)
         val xb = x.selectRows(batchIdx)
-        val targets =
-          if (cfg.exactTargets) {
-            // Equation 8-9 verbatim: run the batch's neighbors through the
-            // model (inference mode, no grad); histogram their hard bins, or
-            // average their soft rows when softTargets is set.
-            val nbIdx = batchIdx.flatMap(knn(_))
-            val nbProbs = net.infer(x.selectRows(nbIdx))
-            val t = repro.linalg.Mat.zeros(batchIdx.length, cfg.m)
-            if (cfg.softTargets) {
-              var r = 0; var o = 0
-              while (r < batchIdx.length) {
-                val kk = knn(batchIdx(r)).length
-                val inc = 1.0 / kk
-                var s = 0
-                while (s < kk) {
-                  var j = 0
-                  while (j < cfg.m) { t(r, j) += inc * nbProbs(o, j); j += 1 }
-                  o += 1; s += 1
-                }
-                r += 1
-              }
-            } else {
-              val nbBins = nbProbs.argmaxRows
-              var r = 0; var o = 0
-              while (r < batchIdx.length) {
-                val kk = knn(batchIdx(r)).length
-                val inc = 1.0 / kk
-                var s = 0
-                while (s < kk) { t(r, nbBins(o)) += inc; o += 1; s += 1 }
-                r += 1
-              }
-            }
-            t
-          } else UspLoss.neighborBinTargets(batchIdx, knn, assignments, cfg.m)
+        val targets = neighborTargets(net, x, knn, batchIdx, bins, cfg.m)
         val logits = net.forward(xb, training = true)
         val probs = Net.softmaxRows(logits)
         val bw = batchIdx.map(w)
@@ -128,10 +84,25 @@ object UspTrainer {
         start = end
       }
       trace(epoch) = lossSum / steps
-      assignments = inferAssignments(net, x)
       epoch += 1
     }
-    UspModel(net, assignments, trace, cfg)
+    UspModel(net, inferAssignments(net, x), trace, cfg)
+  }
+
+  /** Equation 8–9 targets for one batch: the batch's neighbors run through
+    * the current model (inference mode, no grad), and row r is the histogram
+    * of their argmax bins. `bins` is length-n scratch: the fresh bins are
+    * written at the neighbor ids, and [[UspLoss.neighborBinTargets]] reads
+    * only those ids. An id that repeats gets the same bin at every
+    * occurrence, because `Net.infer` computes each row independently.
+    */
+  private[core] def neighborTargets(net: Net, x: Mat, knn: Array[Array[Int]],
+                                    batchIdx: Array[Int], bins: Array[Int], m: Int): Mat = {
+    val nbIdx = batchIdx.flatMap(knn(_))
+    val nbBins = net.infer(x.selectRows(nbIdx)).argmaxRows
+    var o = 0
+    while (o < nbIdx.length) { bins(nbIdx(o)) = nbBins(o); o += 1 }
+    UspLoss.neighborBinTargets(batchIdx, knn, bins, m)
   }
 
   /** Hard bin of every row of `x` under the current model (inference mode),
@@ -149,10 +120,6 @@ object UspTrainer {
     }
     out
   }
-
-  /** Per-point probe probabilities for a batch of queries. */
-  def queryProbs(net: Net, queries: Array[Array[Double]]): Mat =
-    net.infer(Mat.fromRows(queries.toIndexedSeq))
 
   private def shuffle(a: Array[Int], rng: Random): Unit = {
     var i = a.length - 1

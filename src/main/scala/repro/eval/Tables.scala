@@ -97,14 +97,13 @@ object Tables {
     // so more epochs can only help it fit the graph partition better)
     val nlsh = NeuralLsh.train(data, knn, m, hidden = 512, epochs = epochs * 2,
       batchSize = 512, lr = 2e-2, seed = seed)
-    val nlshIdx = new PartitionIndex(nlsh.partitioner,
-      data.map(nlsh.partitioner.assign))
+    val nlshIdx = PartitionIndex.build(nlsh.partitioner, data)
 
     val km = KMeansPartitioner.fitSpark(spark, data, m, iters = 25, seed = seed)
-    val kmIdx = PartitionIndex.build(km, data, spark)
+    val kmIdx = PartitionIndex.build(km, data)
 
     val cp = new CrossPolytopeLsh(data(0).length, m, seed = seed)
-    val cpIdx = PartitionIndex.build(cp, data, spark)
+    val cpIdx = PartitionIndex.build(cp, data)
 
     def sweep(idx: CandidateIndex) = Sweep.run(idx, n, queries, gt, probes)
     Seq(
@@ -293,7 +292,7 @@ object Tables {
     val uspIdx = new PartitionIndex(new ModelPartitioner(usp.net, m), usp.assignments)
 
     val km = KMeansPartitioner.fitSpark(spark, data, m, iters = 25, seed = seed)
-    val kmIdx = PartitionIndex.build(km, data, spark)
+    val kmIdx = PartitionIndex.build(km, data)
 
     def eval(name: String, candOf: Array[Double] => Array[Int]): ScannRow = {
       var hits = 0L

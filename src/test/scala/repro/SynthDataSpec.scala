@@ -85,10 +85,4 @@ class SynthDataSpec extends SparkSpec {
         "CAST(count(DISTINCT id) AS DOUBLE) AS distinct_ids FROM ids",
       "ids" -> ids)
   }
-
-  test("provided TPC-H-lite generators still work at tiny SF") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    assert(li.count() > 0)
-    assert(li.columns.contains("l_orderkey"))
-  }
 }

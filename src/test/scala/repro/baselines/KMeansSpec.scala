@@ -54,7 +54,7 @@ class KMeansSpec extends SparkSpec {
 
   test("k-means index: every point lands in its nearest centroid's bin (oracle-checked)") {
     val km = KMeansPartitioner.fitLocal(blobs, 3, seed = 5)
-    val index = PartitionIndex.build(km, blobs, spark)
+    val index = PartitionIndex.build(km, blobs)
     val df = index.assignmentDF(spark)
     import spark.implicits._
     // point table + centroid table with scalar coordinates for DuckDB

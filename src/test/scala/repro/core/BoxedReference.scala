@@ -4,10 +4,11 @@ import repro.linalg.Mat
 import repro.nn.{BatchNorm, Dropout, Linear, Net, ReLU}
 import repro.scann.ProductQuantizer
 
-/** The query path as it was before the bounded top-k primitive and the
-  * cache-free inference path: boxed `(Double, Int)` pairs, stable full
-  * sorts, and the layer-by-layer inference arithmetic written out. Kept as
-  * the reference the rewritten paths must match bit for bit.
+/** The query path and the balance window as they were before the bounded
+  * top-k primitive and the cache-free inference path: boxed `(Double, Int)`
+  * pairs, stable full sorts, and the layer-by-layer inference arithmetic
+  * written out. Kept as the reference the rewritten paths must match bit
+  * for bit.
   */
 object BoxedReference {
 
@@ -48,6 +49,19 @@ object BoxedReference {
       for (j <- 0 until z.cols) out.a(off + j) /= s
     }
     out
+  }
+
+  /** `UspLoss.balanceLossGrad` with a stable full sort of every column. */
+  def balanceLossGrad(probs: Mat): (Double, Mat) = {
+    val batch = probs.rows
+    val nw = math.max(1, math.ceil(batch.toDouble / probs.cols).toInt)
+    val dP = Mat.zeros(batch, probs.cols)
+    var winSum = 0.0
+    for (j <- 0 until probs.cols) {
+      val top = Array.tabulate(batch)(i => (probs(i, j), i)).sortBy(-_._1).take(nw)
+      top.foreach { case (v, i) => winSum += v; dP(i, j) = -1.0 / batch }
+    }
+    (-winSum / batch, dP)
   }
 
   def probeOrder(p: Array[Double]): Array[Int] = Array.tabulate(p.length)(identity).sortBy(j => -p(j))

@@ -5,7 +5,6 @@ import repro.{Oracle, SparkSpec, SynthData}
 
 /** Simple fixed partitioner for testing the index mechanics in isolation:
   * bins points by the sign pattern of their first two coordinates.
-  * Top-level so Spark can serialize it without dragging in the test suite.
   */
 private class QuadrantPartitioner extends SpacePartitioner {
   override val numBins = 4
@@ -38,11 +37,6 @@ class PartitionIndexSpec extends SparkSpec {
 
   test("binSizes matches the lookup table") {
     assert(index.binSizes.toSeq == index.lookup.map(_.length).toSeq)
-  }
-
-  test("Spark-side build gives identical assignments to driver-side build") {
-    val sparkIdx = PartitionIndex.build(new QuadrantPartitioner, data, spark)
-    assert(sparkIdx.assignments.sameElements(index.assignments))
   }
 
   test("candidates grow monotonically with probe depth and end at the full dataset") {

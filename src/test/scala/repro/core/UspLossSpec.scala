@@ -80,6 +80,21 @@ class UspLossSpec extends AnyFunSuite {
     assert(dP(2, 1) == -0.25 && dP(3, 1) == -0.25 && dP(0, 1) == 0.0 && dP(1, 1) == 0.0)
   }
 
+  test("balance window matches the stable-sort reference bit for bit, ties included") {
+    val rng = new Random(11)
+    val batches = Seq(
+      Mat.fromRows(Seq.fill(9)(Array(0.25, 0.25, 0.25, 0.25))), // every column tied
+      Mat.fromRows(Seq.tabulate(10)(i => Array(0.5, 0.5, 0.0, if (i % 3 == 0) 0.5 else 0.0))),
+      Net.softmaxRows(randLogits(37, 5, 3)),
+      Net.softmaxRows(Mat(40, 4)((_, _) => rng.nextInt(3).toDouble))) // repeated rows
+    for (probs <- batches) {
+      val (lb, dP) = UspLoss.balanceLossGrad(probs)
+      val (wantLb, wantDP) = BoxedReference.balanceLossGrad(probs)
+      assert(java.lang.Double.compare(lb, wantLb) == 0, s"$lb vs $wantLb")
+      assert(java.util.Arrays.equals(dP.a, wantDP.a))
+    }
+  }
+
   test("full loss gradient matches finite differences through the softmax") {
     val rng = new Random(42)
     val batch = 12; val m = 4

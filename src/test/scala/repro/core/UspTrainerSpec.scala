@@ -88,12 +88,37 @@ class UspTrainerSpec extends SparkSpec {
     assert(cutOf(weighted, 0 until 150) <= cutOf(uniform, 0 until 150) + 0.05)
   }
 
-  test("queryProbs returns a distribution per query") {
-    val cfg = UspConfig(m = 4, epochs = 5, batchSize = 128, hidden = 16, seed = 9)
-    val model = UspTrainer.train(data, knn, cfg)
-    val queries = SynthData.gaussianMixture(10, 8, 4, seed = 22)
-    val probs = UspTrainer.queryProbs(model.net, queries)
-    assert(probs.rows == 10 && probs.cols == 4)
-    probs.rowSum.foreach(s => assert(math.abs(s - 1.0) < 1e-9))
+  test("neighborTargets is the histogram of the current model's neighbor bins (Equation 9)") {
+    val m = 4
+    val x = Mat.fromRows(data.toIndexedSeq)
+    // neighbor ids repeat within rows and across rows (and across the two
+    // steps below); some occur only once. Only batch rows are read.
+    val rows = Map(
+      5 -> Array(7, 7, 2, 30, 2, 7),
+      0 -> Array(2, 31, 7, 8, 8, 32),
+      17 -> Array(33, 34, 35, 36, 37, 38),
+      40 -> Array(47, 8, 9, 9, 30, 2),
+      1 -> Array(42, 43, 7, 44, 45, 46))
+    val knnRep = Array.tabulate(data.length)(i => rows.getOrElse(i, Array(i)))
+    val nets = Seq(1L, 2L).map { s =>
+      UspTrainer.train(data, knn, UspConfig(m = m, epochs = 3, batchSize = 128, hidden = 16, seed = s)).net
+    }
+    def reference(net: repro.nn.Net, batchIdx: Array[Int]): Mat = {
+      val t = Mat.zeros(batchIdx.length, m)
+      for ((i, r) <- batchIdx.zipWithIndex; j <- knnRep(i))
+        t(r, Mat.argmax(net.infer(data(j)))) += 1.0 / knnRep(i).length
+      t
+    }
+    // unwritten scratch entries would index far out of bounds if read
+    val bins = Array.fill(data.length)(Int.MaxValue / 2)
+    val batches = Seq(Array(5, 0, 17), Array(40, 1, 5))
+    for ((net, batchIdx) <- nets.zip(batches)) {
+      val want = reference(net, batchIdx)
+      val got = UspTrainer.neighborTargets(net, x, knnRep, batchIdx, bins, m)
+      assert(got.a.sameElements(want.a), s"got ${got.a.toSeq} want ${want.a.toSeq}")
+    }
+    assert(reference(nets(0), batches(0)).a.count(_ > 0) > batches(0).length, "targets are all one-hot")
+    // the second step must overwrite bins the first step left behind
+    assert(Seq(2, 7, 30).exists(j => Mat.argmax(nets(0).infer(data(j))) != Mat.argmax(nets(1).infer(data(j)))))
   }
 }
